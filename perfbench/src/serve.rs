@@ -55,11 +55,18 @@ const WARM_QUIET_EVERY: Duration = Duration::from_millis(500);
 /// `serve-warm` latency limit for `slo_frac`, reference-host ms.
 const WARM_SLO_MS: f64 = 250.0;
 
-/// `serve-mixed` arrivals per 1 s epoch.
-pub const MIXED_RATE: usize = 100;
+/// `serve-mixed` arrivals per 1 s epoch. The server's CPU time is about
+/// a fifth of the window at this rate, so requests seldom wait for one
+/// another: queueing would turn a few percent of host slowdown into a
+/// much larger swing of p50 and p90 from run to run.
+pub const MIXED_RATE: usize = 50;
 /// Each 1 s epoch takes arrivals in its first 0.9 s; the rest is the
 /// quiet window.
 const MIXED_ACTIVE: f64 = 0.9;
+/// Kernel windows in each `serve-mixed` quiet gap. The gap is idle time
+/// of the schedule, so more kernel samples cost the window nothing, and
+/// they pin the run's kernel median more tightly.
+const MIXED_QUIET_KERNELS: usize = 4;
 /// `serve-mixed` class shares per 100 requests: hot-set hits, resident
 /// batches, cold misses. Resident batches are the fastest requests and
 /// misses the slowest, so p50 falls inside the hits and p90 inside the
@@ -226,22 +233,36 @@ fn mixed_requests(seed: u64, seconds: f64, first_miss: u64) -> Vec<Request> {
     let mut out = Vec::new();
     let mut misses = first_miss;
     let mut slots: Vec<usize> = Vec::new();
-    // A fixed number of arrivals per epoch, at seeded uniform times in its
-    // active part, so every run offers the same load.
+    // Hits walk the hot set in seeded shuffled rounds, so every run hits
+    // each triple equally often.
+    let mut hot_order: Vec<usize> = Vec::new();
+    // A fixed number of arrivals per epoch, one at a seeded uniform time in
+    // each of `MIXED_RATE` equal slots of its active part: every run offers
+    // the same load, and arrivals never bunch into a queue that a slower
+    // host would lengthen.
+    let slot = MIXED_ACTIVE / MIXED_RATE as f64;
     let mut dues: Vec<f64> = Vec::new();
     for epoch in 0..seconds.ceil() as usize {
-        let mut at: Vec<f64> = (0..MIXED_RATE)
-            .map(|_| epoch as f64 + MIXED_ACTIVE * rng.unit())
-            .collect();
-        at.sort_by(f64::total_cmp);
-        dues.extend(at.into_iter().filter(|&t| t < seconds));
+        for k in 0..MIXED_RATE {
+            let t = epoch as f64 + slot * (k as f64 + rng.unit());
+            if t < seconds {
+                dues.push(t);
+            }
+        }
     }
     for due_s in dues {
         if slots.is_empty() {
             slots = class_cycle(&MIXED_MIX, &mut rng);
         }
         let (class, specs) = match slots.pop().expect("refilled") {
-            0 => (Class::Hot, vec![hot[rng.below(hot.len())].clone()]),
+            0 => {
+                if hot_order.is_empty() {
+                    hot_order = (0..hot.len()).collect();
+                    rng.shuffle(&mut hot_order);
+                }
+                let pick = hot_order.pop().expect("refilled");
+                (Class::Hot, vec![hot[pick].clone()])
+            }
             1 => (
                 Class::Resident,
                 (0..RESIDENT_BATCH)
@@ -404,8 +425,10 @@ fn run_window(
                         std::thread::sleep(wait);
                     }
                     let _quiet = gate.write().expect("gate lock: a sender panicked");
-                    if start.elapsed().as_secs_f64() < epoch as f64 + 0.99 {
-                        cal.window();
+                    for _ in 0..MIXED_QUIET_KERNELS {
+                        if start.elapsed().as_secs_f64() < epoch as f64 + 0.99 {
+                            cal.window();
+                        }
                     }
                 }
                 stop.store(true, Ordering::Relaxed);
