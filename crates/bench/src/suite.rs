@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use tetris_core::TetrisConfig;
 use tetris_engine::{
-    Backend, CacheStats, CompileJob, Engine, EngineConfig, JobResult, RegionScheduler, ShardConfig,
+    Backend, CacheStats, CompileJob, Engine, EngineConfig, JobResult, RegionScheduler,
 };
 use tetris_obs::StageTimings;
 use tetris_pauli::encoder::Encoding;
@@ -136,12 +136,12 @@ pub struct ShardComparison {
     /// Wall-clock of the sequential whole-chip baseline (one worker, each
     /// job compiled against the full device).
     pub sequential_wall: f64,
-    /// Wall-clock of the sharded batch (region compiles on the pool plus
-    /// relabel + merge).
+    /// Wall-clock of the sharded batch: one cold region-scheduler batch
+    /// (carve, region compiles on the pool, relabel).
     pub sharded_wall: f64,
     /// Per-region placements of the sharded run.
     pub regions: Vec<ShardRegionReport>,
-    /// Batch jobs the planner could not place (compiled whole-chip).
+    /// Batch jobs the scheduler could not place (compiled whole-chip).
     pub leftover: usize,
     /// Physical qubits the regions occupy.
     pub qubits_used: usize,
@@ -166,14 +166,13 @@ impl ShardComparison {
 }
 
 /// Runs the shard comparison: the same batch compiled (a) sequentially
-/// against the whole chip on a one-worker engine and (b) through the
-/// region-carved shard path on a `threads`-worker engine. Both engines
+/// against the whole chip on a one-worker engine and (b) as one cold
+/// [`RegionScheduler`] batch on a `threads`-worker engine. Both engines
 /// start cold, so neither side is served from the other's cache — and the
 /// two paths key their entries apart regardless.
 ///
 /// # Panics
-/// Panics if any job fails or the planner sheds a job — the comparison
-/// batch is sized to always fit.
+/// Panics if any job fails — the comparison batch is sized to always fit.
 pub fn run_shard_comparison(quick: bool, threads: usize) -> ShardComparison {
     let graph = shard_device();
 
@@ -205,28 +204,27 @@ pub fn run_shard_comparison(quick: bool, threads: usize) -> ShardComparison {
     });
     let jobs = shard_jobs(quick, &graph);
     eprintln!("[bench-suite] shard comparison: sharded batch on {threads} workers…");
+    let scheduler = RegionScheduler::with_default_config();
     let t0 = Instant::now();
-    let sharded = sharded_engine.compile_batch_sharded(jobs, &ShardConfig::default());
+    let sharded = scheduler.schedule_batch(&sharded_engine, jobs);
     let sharded_wall = t0.elapsed().as_secs_f64();
     assert!(
         sharded.results.iter().all(|r| r.error.is_none()),
         "sharded batch failed"
     );
 
-    let mut regions = Vec::new();
-    let mut leftover = 0usize;
-    for shard in &sharded.shards {
-        leftover += shard.plan.leftover.len();
-        for (i, region) in &shard.plan.members {
-            let r = &sharded.results[*i];
-            regions.push(ShardRegionReport {
+    let regions = sharded
+        .results
+        .iter()
+        .filter_map(|r| {
+            let region = r.region.as_ref()?;
+            Some(ShardRegionReport {
                 job: r.name.clone(),
                 width: r.output.final_layout.as_ref().map_or(0, |l| l.n_logical()),
                 region_qubits: region.len(),
-            });
-        }
-    }
-    let qubits_used = sharded.shards.iter().map(|s| s.plan.qubits_used()).sum();
+            })
+        })
+        .collect();
     eprintln!(
         "[bench-suite] shard comparison: sequential {sequential_wall:.2}s vs sharded {sharded_wall:.2}s ({:.1}x)",
         sequential_wall / sharded_wall.max(1e-9)
@@ -238,19 +236,45 @@ pub fn run_shard_comparison(quick: bool, threads: usize) -> ShardComparison {
         sequential_wall,
         sharded_wall,
         regions,
-        leftover,
-        qubits_used,
+        leftover: sharded.report.leftover,
+        qubits_used: scheduler.stats().resident_qubits,
     }
 }
 
 // ------------------------------------------------------ resident scheduling
 
-/// Resident-scheduler vs per-batch sharding over steady-state repeat
-/// traffic: the same batch submitted `batches` times to each path, both
-/// sides warmed once first. The per-batch side re-plans, re-carves and
-/// re-relabels on every submission (its compiles are cache hits); the
-/// resident side serves every placement from the free-list and every
-/// artifact from the resident cache.
+/// One region placement of the resident comparison's cold batch, pinned in
+/// `crates/bench/resident.reference.json`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RegionDigest {
+    /// The job placed on the region.
+    pub job: String,
+    /// The region's global physical qubits, ascending.
+    pub region: Vec<usize>,
+    /// The relabeled artifact's [`tetris_engine::EngineOutput::stats_digest`].
+    pub stats_digest: u64,
+}
+
+/// The [`RegionDigest`] of every result, in order (an empty region for a
+/// whole-chip leftover).
+fn region_digests(results: &[JobResult]) -> Vec<RegionDigest> {
+    results
+        .iter()
+        .map(|r| RegionDigest {
+            job: r.name.clone(),
+            region: r.region.as_ref().map_or(Vec::new(), |g| g.mask().to_vec()),
+            stats_digest: r.output.stats_digest(),
+        })
+        .collect()
+}
+
+/// A long-lived resident scheduler vs a fresh scheduler per batch over
+/// steady-state repeat traffic: the same batch submitted `batches` times
+/// to each side, both sides warmed once first. The per-batch side builds a
+/// fresh [`RegionScheduler`] per submission, so it re-carves every time
+/// (its artifacts are resident-cache hits); the resident side serves
+/// every placement from the free-list and every artifact from the
+/// resident cache. The ratio isolates the carve.
 #[derive(Debug, Clone)]
 pub struct ResidentComparison {
     /// The device both sides target.
@@ -259,7 +283,7 @@ pub struct ResidentComparison {
     pub jobs: usize,
     /// Timed repeat batches per side (the warm-up batch is untimed).
     pub batches: usize,
-    /// Wall-clock of `batches` repeats through `compile_batch_sharded`.
+    /// Wall-clock of `batches` repeats, each on a fresh scheduler.
     pub per_batch_wall: f64,
     /// Wall-clock of `batches` repeats through the resident scheduler.
     pub resident_wall: f64,
@@ -267,9 +291,9 @@ pub struct ResidentComparison {
     pub carves_performed: u64,
     /// Placements the scheduler served without carving.
     pub carves_skipped: u64,
-    /// Whether every resident result matched its per-batch twin, digest
-    /// for digest and region for region.
-    pub digest_match: bool,
+    /// Region and digest of every job of the cold (warm-up) batch, in
+    /// submission order.
+    pub digests: Vec<RegionDigest>,
 }
 
 impl ResidentComparison {
@@ -292,7 +316,7 @@ impl ResidentComparison {
 }
 
 /// Runs the resident comparison: one warm-up submission on each side (so
-/// neither path pays cold compiles inside the timed window), then
+/// neither side pays cold compiles inside the timed window), then
 /// `batches` timed repeats. Both engines are separate and equally sized.
 ///
 /// # Panics
@@ -314,24 +338,22 @@ pub fn run_resident_comparison(quick: bool, threads: usize) -> ResidentCompariso
             cache_max_bytes: None,
         })
     };
+    let per_batch = |engine: &Engine| {
+        let b = RegionScheduler::with_default_config().schedule_batch(engine, jobs.clone());
+        assert!(b.results.iter().all(|r| r.error.is_none()));
+    };
 
-    // Per-batch side: warm once, then time the repeats. The compiles are
-    // cache hits, but every submission still pays plan + carve + relabel.
+    // Per-batch side: warm once, then time the repeats. The artifacts are
+    // cache hits, but every submission still carves on a fresh scheduler.
     let per_batch_engine = fresh_engine();
     eprintln!(
-        "[bench-suite] resident comparison: {n_jobs} jobs × {batches} batches on {} — per-batch sharding…",
+        "[bench-suite] resident comparison: {n_jobs} jobs × {batches} batches on {} — fresh scheduler per batch…",
         graph.name()
     );
-    let warm_sharded =
-        per_batch_engine.compile_batch_sharded(jobs.clone(), &ShardConfig::default());
-    assert!(
-        warm_sharded.results.iter().all(|r| r.error.is_none()),
-        "per-batch warm-up failed"
-    );
+    per_batch(&per_batch_engine);
     let t0 = Instant::now();
     for _ in 0..batches {
-        let b = per_batch_engine.compile_batch_sharded(jobs.clone(), &ShardConfig::default());
-        assert!(b.results.iter().all(|r| r.error.is_none()));
+        per_batch(&per_batch_engine);
     }
     let per_batch_wall = t0.elapsed().as_secs_f64();
 
@@ -352,14 +374,7 @@ pub fn run_resident_comparison(quick: bool, threads: usize) -> ResidentCompariso
     }
     let resident_wall = t0.elapsed().as_secs_f64();
 
-    // Bit-identicality: the resident artifacts must be the per-batch
-    // planner's artifacts, digest for digest and region for region.
-    let digest_match = warm_resident
-        .results
-        .iter()
-        .zip(&warm_sharded.results)
-        .all(|(a, b)| a.region == b.region && a.output.stats_digest() == b.output.stats_digest());
-
+    let digests = region_digests(&warm_resident.results);
     let stats = scheduler.stats();
     eprintln!(
         "[bench-suite] resident comparison: per-batch {per_batch_wall:.2}s vs resident {resident_wall:.2}s \
@@ -375,7 +390,7 @@ pub fn run_resident_comparison(quick: bool, threads: usize) -> ResidentCompariso
         resident_wall,
         carves_performed: stats.carves_performed,
         carves_skipped: stats.carves_skipped,
-        digest_match,
+        digests,
     }
 }
 
@@ -496,9 +511,9 @@ impl SuitePass {
 /// counters and per-job timings and stats; with `shard` set, a trailing
 /// `"shard"` section comparing sharded vs sequential whole-chip walls;
 /// with `resident` set, a `"resident"` section comparing the resident
-/// scheduler against per-batch sharding on repeat traffic; with `profile`
-/// set, a `"profile"` section with the observability overhead and
-/// per-stage wall-time aggregates; with `connections` set, a
+/// scheduler against a fresh scheduler per batch on repeat traffic; with
+/// `profile` set, a `"profile"` section with the observability overhead
+/// and per-stage wall-time aggregates; with `connections` set, a
 /// `"connections"` section comparing the reactor front-end against the
 /// thread-per-connection baseline under a connect storm.
 pub fn json_report(
@@ -673,8 +688,18 @@ pub fn json_report(
             "    \"carve_skip_ratio\": {:.4},",
             r.carve_skip_ratio()
         );
-        let _ = writeln!(sec, "    \"digest_match\": {}", r.digest_match);
-        sec.push_str("  }");
+        let _ = writeln!(sec, "    \"digests\": [");
+        for (i, d) in r.digests.iter().enumerate() {
+            let _ = write!(
+                sec,
+                "      {{ \"job\": \"{}\", \"region\": {:?}, \"stats_digest\": \"{:016x}\" }}",
+                json_escape(&d.job),
+                d.region,
+                d.stats_digest,
+            );
+            sec.push_str(if i + 1 < r.digests.len() { ",\n" } else { "\n" });
+        }
+        sec.push_str("    ]\n  }");
         sections.push(sec);
     }
     if let Some(s) = shard {
@@ -805,14 +830,20 @@ mod tests {
             resident_wall: 0.5,
             carves_performed: 6,
             carves_skipped: 60,
-            digest_match: true,
+            digests: vec![RegionDigest {
+                job: "REG3-12-s259".into(),
+                region: vec![4, 5, 6],
+                stats_digest: 0x70f6,
+            }],
         };
         assert!((res.speedup() - 4.0).abs() < 1e-12);
         assert!((res.carve_skip_ratio() - 60.0 / 66.0).abs() < 1e-12);
         let report = json_report(2, &[], None, Some(&res), None, None);
         assert!(report.contains("\"resident\": {"));
         assert!(report.contains("\"carve_skip_ratio\": 0.9091"));
-        assert!(report.contains("\"digest_match\": true"));
+        assert!(report.contains(
+            "{ \"job\": \"REG3-12-s259\", \"region\": [4, 5, 6], \"stats_digest\": \"00000000000070f6\" }"
+        ));
         assert!(report.trim_end().ends_with('}'));
         // All three trailing sections coexist in one report.
         let cmp = ShardComparison {
@@ -875,6 +906,47 @@ mod tests {
         assert!(report.contains("\"blocking\": {"));
         assert!(report.contains("\"first_byte_p95\": 0.002000"));
         assert!(report.trim_end().ends_with('}'));
+    }
+
+    #[test]
+    fn quick_batch_lands_on_the_pinned_reference_regions() {
+        // The cold batch behind the `--resident` CI gate, checked against
+        // the same `digests` array the gate compares the report with.
+        let reference = tetris_server::json::parse(include_str!("../resident.reference.json"))
+            .expect("reference parses");
+        let pinned: Vec<RegionDigest> = reference
+            .get("digests")
+            .and_then(|d| d.as_arr())
+            .expect("digests array")
+            .iter()
+            .map(|d| {
+                let field = |key: &str| d.get(key).expect("pin field");
+                RegionDigest {
+                    job: field("job").as_str().expect("job").to_string(),
+                    region: field("region")
+                        .as_arr()
+                        .expect("region")
+                        .iter()
+                        .map(|q| q.as_num().expect("qubit") as usize)
+                        .collect(),
+                    stats_digest: u64::from_str_radix(
+                        field("stats_digest").as_str().expect("digest"),
+                        16,
+                    )
+                    .expect("hex digest"),
+                }
+            })
+            .collect();
+        let graph = shard_device();
+        let engine = Engine::new(EngineConfig {
+            threads: 2,
+            cache_capacity: 64,
+            cache_dir: None,
+            cache_max_bytes: None,
+        });
+        let batch = RegionScheduler::with_default_config()
+            .schedule_batch(&engine, shard_jobs(true, &graph));
+        assert_eq!(region_digests(&batch.results), pinned);
     }
 
     #[test]

@@ -279,16 +279,16 @@ impl Engine {
         self.cache.stats()
     }
 
-    /// The shared result cache (the shard path stores merged outputs under
-    /// region-fingerprinted keys alongside the per-job entries).
+    /// The shared result cache (the region scheduler stores relabeled
+    /// artifacts under resident keys alongside the per-job entries).
     pub(crate) fn cache(&self) -> &ResultCache {
         &self.cache
     }
 
-    /// Looks up a cached artifact by raw cache key — the read path behind
-    /// the server's `GET /shard/<key>` route. Whole-chip job results and
-    /// sharded merged artifacts share one namespace; the lookup counts in
-    /// the cache statistics like any other.
+    /// Looks up a cached artifact by raw cache key — the region
+    /// scheduler's resident fast path. Whole-chip job results and resident
+    /// region artifacts share one namespace; the lookup counts in the cache
+    /// statistics like any other.
     pub fn cached_output(&self, key: u64) -> Option<Arc<EngineOutput>> {
         self.cache.get(key)
     }

@@ -1,23 +1,29 @@
-//! Resident-region multi-tenant scheduling: carved regions stay alive
-//! across batches.
+//! Region scheduling: one large chip, many small workloads, with carved
+//! regions kept alive across batches.
 //!
-//! The shard planner ([`crate::shard`]) proved the paper's bet per batch —
-//! one large chip serves many small workloads at once — but it re-carves
-//! from scratch and discards the regions on every call, so steady-state
-//! service traffic pays carve + plan cost on every request. The
-//! [`RegionScheduler`] closes that gap: each device keeps a **free-list of
-//! resident regions**, and the region lifecycle becomes
+//! A service batch is dominated by jobs far narrower than the device they
+//! target — every 6-qubit UCCSD job would otherwise monopolize a 130-node
+//! heavy-hex chip. The [`RegionScheduler`] carves the coupling graph into
+//! disjoint connected [`Region`]s ([`CouplingGraph::carve_avoiding`]),
+//! compiles each job against its region's *induced subgraph* through the
+//! ordinary worker pool, relabels every circuit and layout back into
+//! global device coordinates, and keeps the regions for the next batch.
+//! Each device keeps a **free-list of resident regions**, and the region
+//! lifecycle is
 //!
 //! > carve → resident → (busy ⇄ free, per-region FIFO queue) → defrag →
 //! > release
 //!
+//! * **Carving.** A fresh device gets one whole-group carve of size
+//!   `width + slack` per job ([`slack_for_width`]), walking the slack
+//!   ladder down before deferring the widest job, so a first batch lands
+//!   on the same regions on every run and every engine.
 //! * **Bin-packing reuse.** An incoming job lands on a free resident
 //!   region whose size sits inside the job's grant window
-//!   (`width ..= width + slack` via the configured [`SlackPolicy`]) — no
-//!   carve at all. The largest compatible size wins, then creation order,
-//!   which reproduces the positional job→region mapping of the per-batch
-//!   planner for repeat-shape traffic: resident results stay bit-identical
-//!   to [`Engine::compile_batch_sharded`] artifacts.
+//!   (`width ..= width + slack_for_width(width)`) — no carve at all. The
+//!   largest compatible size wins, then creation order, which reproduces
+//!   the cold carve's positional job→region mapping for repeat-shape
+//!   traffic: resident results stay bit-identical to the first batch's.
 //! * **Per-region FIFO queues.** When the chip is full and a
 //!   size-compatible region exists, the job takes a ticket on the shortest
 //!   queue and runs when the region frees, instead of failing over to a
@@ -29,8 +35,7 @@
 //!   defragmenter releases every idle region — displacing their queued
 //!   tickets back to ordinary placement — and re-carves for the starving
 //!   width on the compacted chip. Only when even the re-carve on an
-//!   otherwise empty chip fails does the job fall back whole-chip, exactly
-//!   like the shard planner's leftover path.
+//!   otherwise empty chip fails does the job fall back whole-chip.
 //! * **Resident artifact cache.** The relabeled output of (job, region) is
 //!   itself content-addressed (domain `tetris-resident/v1`, folding the
 //!   workload, backend, device and region fingerprints — which together
@@ -39,16 +44,17 @@
 //!   the steady-state cost of a resident job is one key derivation and one
 //!   cache lookup. Isomorphic regions still share the underlying compile
 //!   entries for free — induced fingerprints depend only on local wiring.
+//!   Region artifacts and whole-chip results never share a cache entry:
+//!   the induced graph and the resident domain both key them apart.
 //!
 //! The scheduler is safe to share across server worker threads: placement
 //! decisions serialize on a per-device mutex, compiles run on the engine's
 //! worker pool with the lock released, and waiters park on a condvar that
 //! region releases notify.
 
-use crate::backend::CompileBackend;
+use crate::backend::{CompileBackend, EngineOutput};
 use crate::job::{CompileJob, JobResult};
 use crate::pool::Engine;
-use crate::shard::{carve_with_slack_ladder, relabel_output, SlackPolicy};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -62,10 +68,6 @@ use tetris_topology::{CouplingGraph, Region};
 /// Resident-scheduling knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulerConfig {
-    /// Slack granted to carved regions beyond the job width, and the upper
-    /// edge of the reuse window: a free region serves a job when its size
-    /// lies in `width ..= width + slack`.
-    pub slack: SlackPolicy,
     /// Rounds a fragmentation-starved job waits before the defragmenter
     /// runs. On an idle chip the defragmenter runs immediately regardless
     /// — waiting cannot free anything when nothing is in flight.
@@ -74,10 +76,7 @@ pub struct SchedulerConfig {
 
 impl Default for SchedulerConfig {
     fn default() -> Self {
-        SchedulerConfig {
-            slack: SlackPolicy::PerWidth,
-            starve_rounds: 2,
-        }
+        SchedulerConfig { starve_rounds: 2 }
     }
 }
 
@@ -242,7 +241,7 @@ struct PendingJob {
 }
 
 /// The content address of a relabeled resident artifact, domain-separated
-/// from per-job and shard keys. Folds the workload, backend, *device*
+/// from per-job keys. Folds the workload, backend, *device*
 /// graph and region fingerprints — the latter two fully determine the
 /// induced subgraph, so the warm path derives the key without ever
 /// materializing the induced graph (that construction is deferred to the
@@ -257,22 +256,87 @@ fn resident_key(job: &CompileJob, region: &Region) -> u64 {
     h.finish()
 }
 
-/// [`carve_with_slack_ladder`] with the carve wall recorded into the
+/// The measured swaps-vs-slack heuristic (`region_slack` bench, heavy-hex
+/// service device, UCC workloads): below ~18 qubits extra region qubits
+/// never reduced SWAPs — frontier growth parks them on row ends the router
+/// never crosses — so narrow jobs get zero slack and leave the capacity to
+/// batch-mates. From ~20 qubits up, slack 4 reliably bought 4–7% fewer
+/// SWAPs (the wider region spans an extra heavy-hex bridge, opening a
+/// routing shortcut). Re-run the bench and update this table if routing
+/// behavior shifts.
+pub fn slack_for_width(width: usize) -> usize {
+    if width >= 18 {
+        4
+    } else {
+        0
+    }
+}
+
+/// Carves one region per width, walking a slack ladder: every job's full
+/// [`slack_for_width`] first, then every job's slack capped at one less,
+/// and so on down to zero. A batch that misses by a couple of qubits at
+/// full slack lands at the tightest cap that still fits instead of
+/// collapsing straight to zero slack (or deferring a job that an
+/// intermediate cap would have placed). Deterministic: the ladder is a
+/// fixed descent and [`CouplingGraph::carve_avoiding`] is deterministic.
+/// The carve wall is recorded into the
 /// `tetris_stage_seconds{stage="carve"}` histogram.
-fn timed_carve(
+fn carve_with_slack_ladder(
     graph: &CouplingGraph,
     widths: &[usize],
-    policy: SlackPolicy,
     avoid: &QubitMask,
 ) -> Option<Vec<Region>> {
     let t0 = Instant::now();
-    let carved = carve_with_slack_ladder(graph, widths, policy, avoid);
+    let max_slack = widths
+        .iter()
+        .map(|&w| slack_for_width(w))
+        .max()
+        .unwrap_or(0);
+    let mut tried: Option<Vec<usize>> = None;
+    let mut carved = None;
+    for cap in (0..=max_slack).rev() {
+        let sizes: Vec<usize> = widths
+            .iter()
+            .map(|&w| (w + slack_for_width(w).min(cap)).min(graph.n_qubits()))
+            .collect();
+        // Lowering the cap below every job's slack leaves the sizes
+        // unchanged — skip the redundant carve attempt.
+        if tried.as_ref() == Some(&sizes) {
+            continue;
+        }
+        carved = graph.carve_avoiding(&sizes, avoid);
+        if carved.is_some() {
+            break;
+        }
+        tried = Some(sizes);
+    }
     if tetris_obs::enabled() {
         tetris_obs::global()
             .histogram("tetris_stage_seconds", &[("stage", Stage::Carve.name())])
             .observe(t0.elapsed().as_secs_f64());
     }
     carved
+}
+
+/// Relabels an induced-subgraph compile back into global device
+/// coordinates: every gate operand maps through [`Region::to_global`] and
+/// the final layout is lifted with [`tetris_topology::Layout::offset_into`].
+/// Stats are untouched — depth, durations and gate counts are
+/// relabeling-invariant.
+fn relabel_output(local: &EngineOutput, region: &Region) -> EngineOutput {
+    let mut circuit = tetris_circuit::Circuit::new(region.device_qubits());
+    for gate in local.circuit.gates() {
+        circuit.push(gate.map_qubits(|q| region.to_global(q)));
+    }
+    EngineOutput {
+        compiler: local.compiler.clone(),
+        circuit,
+        stats: local.stats,
+        final_layout: local.final_layout.as_ref().map(|l| l.offset_into(region)),
+        // Relabeling is presentation, not compilation: the original
+        // compile's breakdown travels with the artifact unchanged.
+        stages: local.stages,
+    }
 }
 
 /// Pushes the per-device residency gauges. No-op while observability is
@@ -309,8 +373,7 @@ impl RegionScheduler {
         }
     }
 
-    /// A scheduler with default knobs ([`SlackPolicy::PerWidth`], starve
-    /// threshold 2).
+    /// A scheduler with default knobs (starve threshold 2).
     pub fn with_default_config() -> Self {
         RegionScheduler::new(SchedulerConfig::default())
     }
@@ -394,8 +457,7 @@ impl RegionScheduler {
     /// order. Regions carved for this batch stay resident for the next
     /// one; see the module docs for the placement rules.
     pub fn schedule_batch(&self, engine: &Engine, jobs: Vec<CompileJob>) -> ResidentBatch {
-        // Group by device identity, first-seen order — same as the shard
-        // planner.
+        // Group by device identity, first-seen order.
         let mut groups: Vec<(u64, Vec<usize>)> = Vec::new();
         for (i, job) in jobs.iter().enumerate() {
             let fp = job.graph.fingerprint();
@@ -437,7 +499,7 @@ impl RegionScheduler {
             let width = jobs[i].hamiltonian.n_qubits;
             if width > n {
                 // Wider than the device: the whole-chip fallback reports
-                // the compiler's own error — same as the shard planner.
+                // the compiler's own error.
                 leftover.push(i);
                 report.leftover += 1;
             } else {
@@ -489,7 +551,6 @@ impl RegionScheduler {
     ) {
         let graph = Arc::clone(&st.graph);
         let n = graph.n_qubits();
-        let policy = self.config.slack;
 
         // (a) Ticket holders claim their region once it is free and their
         // ticket reached the head of the FIFO.
@@ -525,9 +586,9 @@ impl RegionScheduler {
         // (b) Free-list reuse: an idle, unqueued region whose size sits in
         // the grant window serves the job with no carve. Largest size
         // first (what a fresh full-slack carve would produce), then
-        // creation order — reproducing the per-batch planner's positional
-        // mapping on repeat-shape traffic, which keeps resident artifacts
-        // digest-identical to `compile_batch_sharded`.
+        // creation order — reproducing the cold carve's positional mapping
+        // on repeat-shape traffic, which keeps resident artifacts
+        // digest-identical to the first batch's.
         let mut k = 0;
         while k < pending.len() {
             if pending[k].ticket.is_some() {
@@ -535,7 +596,7 @@ impl RegionScheduler {
                 continue;
             }
             let width = pending[k].width;
-            let grant_hi = (width + policy.for_width(width)).min(n);
+            let grant_hi = (width + slack_for_width(width)).min(n);
             let pick = st
                 .regions
                 .iter_mut()
@@ -554,19 +615,17 @@ impl RegionScheduler {
             }
         }
 
-        // (c) One whole-group carve for everything still unplaced — the
-        // same single carve the per-batch planner performs, so a fresh
-        // device yields identical regions (and artifacts) to
-        // `compile_batch_sharded`. On failure the widest candidate is
-        // deferred to queueing/defrag instead of shed whole-chip, and the
-        // rest retry.
+        // (c) One whole-group carve for everything still unplaced, so a
+        // fresh device yields the same regions (and artifacts) on every
+        // run. On failure the widest candidate is deferred to
+        // queueing/defrag instead of shed whole-chip, and the rest retry.
         let drained: Vec<PendingJob> = std::mem::take(pending);
         let (mut group, rest): (Vec<_>, Vec<_>) =
             drained.into_iter().partition(|j| j.ticket.is_none());
         let mut deferred: Vec<PendingJob> = Vec::new();
         while !group.is_empty() {
             let widths: Vec<usize> = group.iter().map(|j| j.width).collect();
-            match timed_carve(&graph, &widths, policy, &st.carved) {
+            match carve_with_slack_ladder(&graph, &widths, &st.carved) {
                 Some(regions) => {
                     for (job, region) in group.drain(..).zip(regions) {
                         st.carved.union_with(region.mask());
@@ -607,7 +666,7 @@ impl RegionScheduler {
                 continue;
             }
             let width = job.width;
-            let grant_hi = (width + policy.for_width(width)).min(n);
+            let grant_hi = (width + slack_for_width(width)).min(n);
             let target = st
                 .regions
                 .iter_mut()
@@ -632,7 +691,7 @@ impl RegionScheduler {
                 }
                 if !st.any_busy() {
                     // Even an empty chip cannot host the grant: compile
-                    // whole-chip like the shard planner's leftover path.
+                    // whole-chip.
                     leftover.push(job.index);
                     report.leftover += 1;
                     continue;
@@ -676,7 +735,7 @@ impl RegionScheduler {
             .regions_released
             .fetch_add(released, Ordering::Relaxed);
 
-        let regions = timed_carve(&st.graph, &[width], self.config.slack, &st.carved)?;
+        let regions = carve_with_slack_ladder(&st.graph, &[width], &st.carved)?;
         let region = regions.into_iter().next().expect("one size, one region");
         st.carved.union_with(region.mask());
         let id = st.next_region_id;
@@ -778,5 +837,150 @@ impl RegionScheduler {
         }
         push_gauges(&st);
         shared.released.notify_all();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::backend::Backend;
+    use tetris_core::TetrisConfig;
+    use tetris_pauli::{Hamiltonian, PauliBlock, PauliTerm};
+
+    fn small_job(name: &str, strings: &[&str], graph: &Arc<CouplingGraph>) -> CompileJob {
+        let n = strings[0].len();
+        let blocks = strings
+            .iter()
+            .enumerate()
+            .map(|(k, s)| {
+                PauliBlock::new(
+                    vec![PauliTerm::new(s.parse().unwrap(), 1.0)],
+                    0.2 + 0.1 * k as f64,
+                    format!("b{k}"),
+                )
+            })
+            .collect();
+        CompileJob::new(
+            name,
+            Backend::Tetris(TetrisConfig::default()),
+            Arc::new(Hamiltonian::new(n, blocks, name)),
+            graph.clone(),
+        )
+    }
+
+    fn engine() -> Engine {
+        Engine::new(crate::EngineConfig {
+            threads: 2,
+            cache_capacity: 16,
+            cache_dir: None,
+            cache_max_bytes: None,
+        })
+    }
+
+    #[test]
+    fn widest_job_waits_for_room_instead_of_shedding() {
+        // 3 + 4 + 9 qubits cannot share a 10-qubit line: the widest job is
+        // deferred, starves behind its batch-mates for one round, then the
+        // defragmenter releases their idle regions and carves it a region
+        // of its own — no whole-chip fallback.
+        let graph = Arc::new(CouplingGraph::line(10));
+        let jobs = vec![
+            small_job("a", &["XYZ"], &graph),
+            small_job("b", &["ZZZZ"], &graph),
+            small_job("c", &["XXXXXXXXX"], &graph),
+        ];
+        let batch = RegionScheduler::with_default_config().schedule_batch(&engine(), jobs);
+        assert!(batch.results.iter().all(|r| r.error.is_none()));
+        let regions: Vec<&Region> = batch
+            .results
+            .iter()
+            .map(|r| r.region.as_ref().expect("placed"))
+            .collect();
+        assert_eq!(
+            regions.iter().map(|r| r.len()).collect::<Vec<_>>(),
+            vec![3, 4, 9]
+        );
+        assert!(regions[0].is_disjoint_from(regions[1]));
+        assert!(regions.iter().all(|r| graph.is_region_connected(r)));
+        assert_eq!(batch.report.rounds, 2);
+        assert_eq!(batch.report.defrags, 1);
+        assert_eq!(batch.report.leftover, 0);
+    }
+
+    #[test]
+    fn scheduler_groups_by_device() {
+        let line = Arc::new(CouplingGraph::line(12));
+        let ring = Arc::new(CouplingGraph::ring(12));
+        let jobs = vec![
+            small_job("a", &["XY"], &line),
+            small_job("b", &["YZ"], &ring),
+            small_job("c", &["ZX"], &line),
+        ];
+        let scheduler = RegionScheduler::with_default_config();
+        let batch = scheduler.schedule_batch(&engine(), jobs);
+        assert!(batch.results.iter().all(|r| r.region.is_some()));
+        let devices: Vec<(String, usize)> = scheduler
+            .snapshot()
+            .into_iter()
+            .map(|d| (d.device, d.regions.len()))
+            .collect();
+        assert_eq!(
+            devices,
+            vec![(line.name().to_string(), 2), (ring.name().to_string(), 1)],
+            "first-seen device order, one region per job"
+        );
+    }
+
+    #[test]
+    fn slack_follows_measured_heuristic() {
+        // The region_slack bench: no slack pays off below ~18 qubits,
+        // slack 4 wins from ~20 up.
+        assert_eq!(slack_for_width(3), 0);
+        assert_eq!(slack_for_width(16), 0);
+        assert_eq!(slack_for_width(20), 4);
+        assert_eq!(slack_for_width(24), 4);
+
+        // Narrow jobs get exactly their width.
+        let graph = Arc::new(CouplingGraph::line(10));
+        let jobs = vec![
+            small_job("a", &["XYZ"], &graph),
+            small_job("b", &["ZZZZ"], &graph),
+        ];
+        let batch = RegionScheduler::with_default_config().schedule_batch(&engine(), jobs);
+        for (r, width) in batch.results.iter().zip([3usize, 4]) {
+            assert_eq!(r.region.as_ref().expect("placed").len(), width);
+        }
+    }
+
+    #[test]
+    fn slack_ladder_tries_intermediate_slacks_at_the_perwidth_boundary() {
+        // Two 18-qubit jobs on a 40-qubit line. The per-width slack is 4
+        // at 18 qubits, so the full-slack carve wants 22 + 22 = 44 > 40 and
+        // fails; jumping straight to zero slack (18 + 18 = 36) would waste
+        // 4 qubits of routing freedom. The ladder lands at cap 2:
+        // 20 + 20 = 40 exactly.
+        let graph = CouplingGraph::line(40);
+        let regions = carve_with_slack_ladder(&graph, &[18, 18], &QubitMask::empty(40))
+            .expect("the cap-2 rung fits");
+        assert_eq!(regions.len(), 2);
+        for region in &regions {
+            assert_eq!(region.len(), 20, "intermediate slack 2, not 0 or 4");
+            assert!(graph.is_region_connected(region));
+        }
+        assert!(regions[0].is_disjoint_from(&regions[1]));
+    }
+
+    #[test]
+    fn utilization_accounting() {
+        let graph = Arc::new(CouplingGraph::line(10));
+        let jobs = vec![
+            small_job("a", &["XYZ"], &graph),
+            small_job("b", &["ZZZ"], &graph),
+        ];
+        let scheduler = RegionScheduler::with_default_config();
+        scheduler.schedule_batch(&engine(), jobs);
+        assert_eq!(scheduler.stats().resident_qubits, 6);
+        let device = &scheduler.snapshot()[0];
+        assert_eq!((device.resident_qubits, device.device_qubits), (6, 10));
     }
 }

@@ -1,14 +1,13 @@
 //! Resident-region scheduling, end to end: carved regions survive across
-//! batches, repeat-shape traffic skips carving while staying bit-identical
-//! to per-batch sharded compiles, per-region FIFO queues serialize
-//! contending jobs, the defragmenter un-fragments a starved wide job, and
-//! isomorphic regions share content-addressed cache entries.
+//! batches, cold batches land on pinned regions with pinned digests,
+//! repeat-shape traffic skips carving while staying bit-identical,
+//! per-region FIFO queues serialize contending jobs, the defragmenter
+//! un-fragments a starved wide job, and isomorphic regions share
+//! content-addressed cache entries.
 
 use std::sync::Arc;
 use tetris_core::TetrisConfig;
-use tetris_engine::{
-    Backend, CompileJob, Engine, EngineConfig, RegionScheduler, ShardConfig, SlackPolicy,
-};
+use tetris_engine::{Backend, CompileJob, Engine, EngineConfig, JobResult, RegionScheduler};
 use tetris_pauli::{Hamiltonian, PauliBlock, PauliTerm};
 use tetris_topology::{CouplingGraph, Region};
 
@@ -52,6 +51,27 @@ fn job(name: &str, width: usize, phase: usize, graph: &Arc<CouplingGraph>) -> Co
     )
 }
 
+/// `(region qubits, stats_digest)` of each [`service_batch`] job on a fresh
+/// chip. Recorded from the per-batch shard planner before it was folded
+/// into the scheduler: a cold batch must keep landing exactly there.
+const SERVICE_PINS: [(&[usize], u64); 5] = [
+    (&[31, 32, 33, 34], 0x033f_9ccf_b59f_64c1),
+    (&[5, 6, 7, 8, 9], 0x9fc1_266e_1503_d01c),
+    (&[10, 11, 12, 13, 14, 15], 0xb65b_2bad_978f_ec18),
+    (&[18, 24, 25, 26, 27], 0x9fc1_266e_1503_d01c),
+    (&[28, 29, 30, 37], 0x033f_9ccf_b59f_64c1),
+];
+
+/// `(region qubits, stats_digest)` of the 9-qubit `wide` job on an empty
+/// 3x4 grid, recorded the same way.
+const WIDE_PIN: (&[usize], u64) = (&[0, 1, 2, 3, 4, 5, 6, 7, 8], 0xff7f_e784_7be3_efa6);
+
+fn assert_pinned(result: &JobResult, pin: (&[usize], u64)) {
+    let region = result.region.as_ref().expect("placed on a region");
+    assert_eq!(region.mask().to_vec(), pin.0, "{}", result.name);
+    assert_eq!(result.output.stats_digest(), pin.1, "{}", result.name);
+}
+
 /// The steady-state service batch: five small workloads on the 130-node
 /// heavy-hex chip, same shape every time.
 fn service_batch(graph: &Arc<CouplingGraph>) -> Vec<CompileJob> {
@@ -77,18 +97,10 @@ fn resident_results_match_per_batch_sharding_and_repeats_skip_carving() {
     assert_eq!(first.report.carves_skipped, 0);
     assert_eq!(first.report.leftover, 0);
 
-    // Bit-identical to the per-batch shard planner on a fresh engine:
-    // the cold whole-group carve is the same carve, so regions — and
-    // therefore relabeled artifacts — agree digest for digest.
-    let sharded = engine(1).compile_batch_sharded(service_batch(&graph), &ShardConfig::default());
-    for (a, b) in first.results.iter().zip(&sharded.results) {
-        assert_eq!(a.region, b.region, "{}", a.name);
-        assert_eq!(
-            a.output.stats_digest(),
-            b.output.stats_digest(),
-            "{}",
-            a.name
-        );
+    // The cold whole-group carve lands on the pinned regions, so the
+    // relabeled artifacts match the pinned digests exactly.
+    for (result, pin) in first.results.iter().zip(SERVICE_PINS) {
+        assert_pinned(result, pin);
     }
 
     // Repeat-shape traffic: zero carves, every placement served by the
@@ -156,8 +168,8 @@ fn defragmenter_recarves_for_a_starved_wide_job() {
     // Four 3-qubit jobs tile the whole 12-qubit grid; the following
     // 9-qubit job finds no compatible region and no room to carve — the
     // defragmenter must release the idle tiles and re-carve, and the job's
-    // artifact must match a per-batch sharded compile of the same job on
-    // a fresh chip (defrag compacts back to the empty-chip carve).
+    // artifact must match the pinned fresh-chip compile of the same job
+    // (defrag compacts back to the empty-chip carve).
     let graph = Arc::new(CouplingGraph::grid(3, 4));
     let scheduler = RegionScheduler::with_default_config();
     let eng = engine(2);
@@ -185,16 +197,9 @@ fn defragmenter_recarves_for_a_starved_wide_job() {
     assert_eq!(stats.regions_released, 4, "all idle tiles released");
     assert_eq!(stats.resident_regions, 1, "only the re-carved region left");
 
-    // Digest-pinned against the per-batch planner on a fresh engine: the
-    // defragmented chip is empty again, so the re-carve is the planner's
-    // carve.
-    let sharded =
-        engine(1).compile_batch_sharded(vec![job("wide", 9, 7, &graph)], &ShardConfig::default());
-    assert_eq!(result.region, sharded.results[0].region);
-    assert_eq!(
-        result.output.stats_digest(),
-        sharded.results[0].output.stats_digest()
-    );
+    // The defragmented chip is empty again, so the re-carve is the
+    // empty-chip carve: pinned region, pinned digest.
+    assert_pinned(result, WIDE_PIN);
 }
 
 #[test]
@@ -256,10 +261,7 @@ fn impossible_jobs_fall_back_whole_chip_with_a_clean_error() {
     // Wider than the device: never placed, compiled whole-chip, and the
     // compiler's own failure is reported — not a hang, not a panic.
     let graph = Arc::new(CouplingGraph::line(4));
-    let scheduler = RegionScheduler::new(tetris_engine::SchedulerConfig {
-        slack: SlackPolicy::PerWidth,
-        starve_rounds: 1,
-    });
+    let scheduler = RegionScheduler::new(tetris_engine::SchedulerConfig { starve_rounds: 1 });
     let eng = engine(2);
     let batch = scheduler.schedule_batch(
         &eng,

@@ -1,13 +1,12 @@
 //! Region-carved sharding, end to end on the service device: a batch of
-//! small workloads packed onto one 130-node heavy-hex chip must come back
-//! on disjoint connected regions, in global coordinates, hardware-
-//! compliant, deterministic, cache-separated from whole-chip compiles —
-//! and the merged artifact must be exactly the member circuits run
-//! side by side.
+//! small workloads packed onto one 130-node heavy-hex chip by the
+//! [`RegionScheduler`] must come back on disjoint connected regions, in
+//! global coordinates, hardware-compliant, deterministic, and
+//! cache-separated from whole-chip compiles.
 
 use std::sync::Arc;
 use tetris_core::TetrisConfig;
-use tetris_engine::{Backend, CompileJob, Engine, EngineConfig, ShardConfig};
+use tetris_engine::{Backend, CompileJob, Engine, EngineConfig, RegionScheduler};
 use tetris_pauli::mask::QubitMask;
 use tetris_pauli::{Hamiltonian, PauliBlock, PauliTerm};
 use tetris_topology::CouplingGraph;
@@ -65,24 +64,19 @@ fn service_batch(graph: &Arc<CouplingGraph>) -> Vec<CompileJob> {
 fn sharded_batch_packs_disjoint_regions_on_130_node_heavy_hex() {
     let graph = Arc::new(CouplingGraph::heavy_hex(7, 16));
     assert_eq!(graph.n_qubits(), 130);
-    let jobs = service_batch(&graph);
-    let engine = engine(4);
-    let batch = engine.compile_batch_sharded(jobs, &ShardConfig::default());
+    let scheduler = RegionScheduler::with_default_config();
+    let batch = scheduler.schedule_batch(&engine(4), service_batch(&graph));
 
     assert_eq!(batch.results.len(), 5);
-    assert_eq!(batch.shards.len(), 1);
-    let shard = &batch.shards[0];
-    assert!(shard.plan.leftover.is_empty(), "all five jobs fit");
-    assert_eq!(shard.plan.members.len(), 5);
+    assert_eq!(batch.report.leftover, 0, "all five jobs fit");
+    assert_eq!(batch.report.carves_performed, 5);
 
     // Regions: connected, disjoint, sized to width + slack.
     let mut union = QubitMask::empty(130);
-    for (r, (i, region)) in batch.results.iter().zip(&shard.plan.members) {
+    for (r, width) in batch.results.iter().zip([4usize, 5, 6, 5, 4]) {
         assert!(r.error.is_none(), "{}: {:?}", r.name, r.error);
-        let assigned = r.region.as_ref().expect("placed job carries its region");
-        assert_eq!(assigned, region);
+        let region = r.region.as_ref().expect("placed job carries its region");
         assert!(graph.is_region_connected(region));
-        let width = [4usize, 5, 6, 5, 4][*i];
         assert!(region.len() >= width && region.len() <= width + 2);
         assert!(
             union.is_disjoint_from(region.mask()),
@@ -118,60 +112,34 @@ fn sharded_batch_packs_disjoint_regions_on_130_node_heavy_hex() {
         assert!(placed.is_subset_of(region.mask()));
     }
 
-    // The merged artifact is the member circuits side by side.
-    let merged = shard.merged.as_ref().expect("complete shard merges");
-    assert_eq!(
-        merged.circuit.len(),
-        batch
-            .results
-            .iter()
-            .map(|r| r.output.circuit.len())
-            .sum::<usize>()
-    );
-    assert!(merged.circuit.is_hardware_compliant(&graph));
-    assert_eq!(merged.compiler, "Sharded[5]");
-    // Critical path of disjoint jobs is the longest member's, not the sum.
-    let max_depth = batch
-        .results
-        .iter()
-        .map(|r| r.output.stats.metrics.depth)
-        .max()
-        .unwrap();
-    assert_eq!(merged.stats.metrics.depth, max_depth);
-    // The merged layout is disjoint by construction and consistent.
-    let layout = merged.final_layout.as_ref().expect("merged layout");
-    assert!(layout.is_consistent());
-    assert_eq!(layout.n_logical(), 4 + 5 + 6 + 5 + 4);
     // Utilization: 24 logical qubits + ≤ 2 slack each on 130 nodes.
-    assert_eq!(shard.plan.qubits_used(), union.count());
-    assert!(shard.plan.utilization() > 0.18 && shard.plan.utilization() < 0.30);
+    let resident = scheduler.stats().resident_qubits;
+    assert_eq!(resident, union.count());
+    let utilization = resident as f64 / 130.0;
+    assert!(utilization > 0.18 && utilization < 0.30);
 }
 
 #[test]
 fn sharded_results_are_deterministic_and_repeat_batches_hit_the_cache() {
     let graph = Arc::new(CouplingGraph::heavy_hex(7, 16));
     let engine_a = engine(4);
-    let first = engine_a.compile_batch_sharded(service_batch(&graph), &ShardConfig::default());
+    let scheduler = RegionScheduler::with_default_config();
+    let first = scheduler.schedule_batch(&engine_a, service_batch(&graph));
     assert!(first.results.iter().all(|r| !r.cached));
-    assert!(!first.shards[0].merged_cached);
 
-    // Same engine, same batch: every sub-compile and the merged artifact
-    // are served from the cache, bit-identically.
-    let again = engine_a.compile_batch_sharded(service_batch(&graph), &ShardConfig::default());
+    // Same engine, same batch: every artifact is served from the cache,
+    // bit-identically.
+    let again = scheduler.schedule_batch(&engine_a, service_batch(&graph));
     assert!(again.results.iter().all(|r| r.cached));
-    assert!(again.shards[0].merged_cached);
     for (a, b) in first.results.iter().zip(&again.results) {
         assert_eq!(a.output.stats_digest(), b.output.stats_digest());
     }
-    assert_eq!(
-        first.shards[0].merged.as_ref().unwrap().stats_digest(),
-        again.shards[0].merged.as_ref().unwrap().stats_digest()
-    );
 
-    // A different engine (fresh cache, different thread count) produces
-    // bit-identical outputs: sharding is deterministic.
-    let engine_b = engine(1);
-    let other = engine_b.compile_batch_sharded(service_batch(&graph), &ShardConfig::default());
+    // A different engine (fresh cache, different thread count) and a fresh
+    // scheduler produce bit-identical outputs on the same regions:
+    // placement and compilation are deterministic.
+    let other =
+        RegionScheduler::with_default_config().schedule_batch(&engine(1), service_batch(&graph));
     for (a, b) in first.results.iter().zip(&other.results) {
         assert_eq!(a.output.stats_digest(), b.output.stats_digest());
         assert_eq!(a.region, b.region);
@@ -181,37 +149,36 @@ fn sharded_results_are_deterministic_and_repeat_batches_hit_the_cache() {
 #[test]
 fn sharded_and_whole_chip_results_never_share_cache_entries() {
     let graph = Arc::new(CouplingGraph::heavy_hex(7, 16));
-    let engine = engine(4);
-    let sharded = engine.compile_batch_sharded(service_batch(&graph), &ShardConfig::default());
-    assert!(sharded.results.iter().all(|r| r.error.is_none()));
+    let region_batch = |engine: &Engine| {
+        RegionScheduler::with_default_config()
+            .schedule_batch(engine, service_batch(&graph))
+            .results
+    };
 
-    // The same jobs compiled whole-chip afterwards must all MISS: the
-    // sharded entries are keyed by induced subgraphs and the region-
-    // fingerprinted merge key, never by the whole-chip job key.
-    let whole = engine.compile_batch(service_batch(&graph));
+    // Regions first: the same jobs compiled whole-chip afterwards must all
+    // MISS — region entries are keyed by induced subgraphs and the
+    // resident domain, never by the whole-chip job key.
+    let engine_a = engine(4);
+    let sharded = region_batch(&engine_a);
+    assert!(sharded.iter().all(|r| r.error.is_none()));
+    let whole = engine_a.compile_batch(service_batch(&graph));
     assert!(
         whole.iter().all(|r| !r.cached),
-        "whole-chip compiles must not be served from sharded entries"
+        "whole-chip compiles must not be served from region entries"
     );
-    for (s, w) in sharded.results.iter().zip(&whole) {
+    for (s, w) in sharded.iter().zip(&whole) {
         assert_ne!(s.cache_key, w.cache_key, "{}", s.name);
     }
-    // And the reverse direction also misses nothing it shouldn't: a
-    // repeat whole-chip batch is now fully cached under its own keys.
-    let repeat = engine.compile_batch(service_batch(&graph));
+    // A repeat whole-chip batch is now fully cached under its own keys.
+    let repeat = engine_a.compile_batch(service_batch(&graph));
     assert!(repeat.iter().all(|r| r.cached));
-}
 
-#[test]
-fn merged_artifact_round_trips_the_disk_codec() {
-    // The merged output (partial multi-job layout, concatenated circuit)
-    // must survive encode → decode bit-for-bit like any other result.
-    let graph = Arc::new(CouplingGraph::heavy_hex(7, 16));
-    let engine = engine(2);
-    let batch = engine.compile_batch_sharded(service_batch(&graph), &ShardConfig::default());
-    let merged = batch.shards[0].merged.as_ref().expect("merged");
-    let bytes = tetris_engine::encode_output(merged);
-    let decoded = tetris_engine::decode_output(&bytes).expect("codec round trip");
-    assert_eq!(&decoded, merged.as_ref());
-    assert_eq!(decoded.stats_digest(), merged.stats_digest());
+    // Whole-chip first: a region batch afterwards must all MISS too.
+    let engine_b = engine(4);
+    let whole = engine_b.compile_batch(service_batch(&graph));
+    assert!(whole.iter().all(|r| r.error.is_none()));
+    assert!(
+        region_batch(&engine_b).iter().all(|r| !r.cached),
+        "region results must not be served from whole-chip entries"
+    );
 }

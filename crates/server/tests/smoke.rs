@@ -353,8 +353,8 @@ fn keep_alive_serves_many_requests_on_one_socket() {
 #[test]
 fn sharded_batches_report_disjoint_regions() {
     let addr = start_server();
-    // Two 8-qubit workloads sharded onto one 16-qubit grid: the planner
-    // must pack them side by side (slack retries down to zero).
+    // Two 8-qubit workloads sharded onto one 16-qubit grid: the region
+    // scheduler must pack them side by side (slack retries down to zero).
     let body = r#"{ "shard": true, "jobs": [
         {"workload": "REG3-8-s1", "backend": "tetris", "device": "grid-4x4"},
         {"workload": "REG3-8-s2", "backend": "tetris", "device": "grid-4x4"}
@@ -392,9 +392,46 @@ fn sharded_batches_report_disjoint_regions() {
 }
 
 #[test]
+fn sharded_batch_that_overflows_the_chip_defrags_instead_of_compiling_whole_chip() {
+    // 12 + 8 qubits cannot share a 16-qubit grid. The 12-qubit job is
+    // deferred behind its batch-mate, then the defragmenter releases the
+    // idle 8-qubit region and carves it a region of its own: both jobs
+    // report a region, neither compiles against the whole chip.
+    let server = CompileServer::bind(
+        "127.0.0.1:0",
+        EngineConfig {
+            threads: 2,
+            cache_capacity: 64,
+            cache_dir: None,
+            cache_max_bytes: None,
+        },
+    )
+    .expect("bind ephemeral port");
+    let addr = server.local_addr().to_string();
+    let state = server.serve_background();
+    let body = r#"{ "shard": true, "jobs": [
+        {"workload": "REG3-12-s7", "backend": "tetris", "device": "grid-4x4"},
+        {"workload": "REG3-8-s1", "backend": "tetris", "device": "grid-4x4"}
+    ] }"#;
+    let (status, response) = request(&addr, "POST", "/batch", Some(body));
+    assert_eq!(status, 200, "{response}");
+    for (id, width) in [(1, 12), (2, 8)] {
+        let done = poll_done(&addr, id, Duration::from_secs(120));
+        assert!(!done.contains("\"error\""), "{done}");
+        let tag = "\"region\": [";
+        let rest = &done[done.find(tag).expect("placed on a region") + tag.len()..];
+        let region = &rest[..rest.find(']').expect("close bracket")];
+        assert_eq!(region.split(',').count(), width, "{done}");
+    }
+    let stats = state.scheduler().stats();
+    assert_eq!(stats.defrags, 1, "{stats:?}");
+    assert_eq!(stats.carves_performed, 2, "{stats:?}");
+}
+
+#[test]
 fn observability_endpoints_expose_metrics_traces_and_shards() {
     let addr = start_server();
-    // A sharded batch lights up the shard, merge and stage series.
+    // A sharded batch lights up the carve and stage series.
     let body = r#"{ "shard": true, "jobs": [
         {"workload": "REG3-8-s1", "backend": "tetris", "device": "grid-4x4"},
         {"workload": "REG3-8-s2", "backend": "tetris", "device": "grid-4x4"}
@@ -424,7 +461,7 @@ fn observability_endpoints_expose_metrics_traces_and_shards() {
     );
 
     // /metrics is Prometheus text exposition with engine, cache (both
-    // tiers), shard and HTTP series present.
+    // tiers), region and HTTP series present.
     let (status, metrics) = request(&addr, "GET", "/metrics", None);
     assert_eq!(status, 200);
     for series in [
@@ -435,8 +472,7 @@ fn observability_endpoints_expose_metrics_traces_and_shards() {
         "tetris_cache_lookups_total{tier=\"disk\",outcome=\"miss\"}",
         "tetris_cache_gc_evictions_total{tier=\"disk\"}",
         "tetris_cache_purged_total{tier=\"disk\"}",
-        "tetris_shard_plans_total",
-        "tetris_shard_merges_total",
+        "tetris_carves_performed_total",
         "tetris_http_requests_total{route=\"/batch\",class=\"2xx\"}",
         "tetris_http_request_seconds_bucket",
         "tetris_server_jobs",
@@ -448,32 +484,6 @@ fn observability_endpoints_expose_metrics_traces_and_shards() {
             "missing `{series}` in:\n{metrics}"
         );
     }
-
-    // /shards lists the merge; /shard/<key> serves the merged artifact.
-    let (status, shards) = request(&addr, "GET", "/shards", None);
-    assert_eq!(status, 200, "{shards}");
-    let key = field(&shards, "cache_key")
-        .expect("one shard summary")
-        .to_string();
-    assert_eq!(key.len(), 16, "hex key: {key}");
-    let (status, artifact) = request(&addr, "GET", &format!("/shard/{key}"), None);
-    assert_eq!(status, 200, "{artifact}");
-    assert_eq!(field(&artifact, "cache_key"), Some(key.as_str()));
-    assert!(
-        field(&artifact, "gates")
-            .expect("gates")
-            .parse::<usize>()
-            .expect("numeric")
-            > 0
-    );
-    let (_, with_qasm) = request(&addr, "GET", &format!("/shard/{key}?qasm=1"), None);
-    assert!(with_qasm.contains("OPENQASM 2.0"), "qasm embedded");
-    // Bad or unknown keys are client errors, not crashes.
-    assert_eq!(request(&addr, "GET", "/shard/zz", None).0, 400);
-    assert_eq!(
-        request(&addr, "GET", "/shard/0000000000000000", None).0,
-        404
-    );
 
     // /trace serves recent completions from the ring.
     let (status, trace) = request(&addr, "GET", "/trace?n=10", None);
@@ -578,8 +588,8 @@ fn resident_batches_keep_regions_alive_across_submissions() {
 
 #[test]
 fn resident_by_default_routes_sharded_batches_through_the_scheduler() {
-    // `tetris serve --resident-regions`: clients keep sending
-    // `"shard": true` and transparently get region residency.
+    // A plain-config server: clients sending `"shard": true` get region
+    // residency — `"shard"` is a synonym of `"resident"`.
     let server = CompileServer::bind_with(
         "127.0.0.1:0",
         EngineConfig {
@@ -588,10 +598,7 @@ fn resident_by_default_routes_sharded_batches_through_the_scheduler() {
             cache_dir: None,
             cache_max_bytes: None,
         },
-        ServerConfig {
-            resident_by_default: true,
-            ..Default::default()
-        },
+        ServerConfig::default(),
     )
     .expect("bind ephemeral port");
     let addr = server.local_addr().to_string();
@@ -606,7 +613,7 @@ fn resident_by_default_routes_sharded_batches_through_the_scheduler() {
     poll_done(&addr, 1, Duration::from_secs(120));
     poll_done(&addr, 2, Duration::from_secs(120));
     let stats = state.scheduler().stats();
-    assert_eq!(stats.carves_performed, 2, "routed resident, not per-batch");
+    assert_eq!(stats.carves_performed, 2, "routed through the scheduler");
     assert_eq!(stats.resident_regions, 2);
 }
 
